@@ -702,31 +702,40 @@ pub fn program_from_json(v: &Json) -> Result<Program, String> {
     let mut program =
         sdo_isa::parse_asm(asm).map_err(|e| format!("program '{name}': {e}"))?;
     program.set_name(name);
-    let data = program.data_mut();
-    for pair in v.arr_field("data")? {
-        match pair {
-            Json::Arr(items) if items.len() == 2 => {
-                match (&items[0], &items[1]) {
-                    (Json::UInt(addr), Json::UInt(byte)) if *byte <= 0xff => {
-                        data.set_byte(*addr, *byte as u8);
-                    }
-                    _ => return Err("data pair is not [addr, byte]".to_string()),
-                }
-            }
-            _ => return Err("data entry is not a two-element array".to_string()),
-        }
-    }
+    let data = v
+        .arr_field("data")?
+        .iter()
+        .map(|pair| match pair {
+            Json::Arr(items) if items.len() == 2 => match (&items[0], &items[1]) {
+                (Json::UInt(addr), Json::UInt(byte)) if *byte <= 0xff => Ok((*addr, *byte as u8)),
+                _ => Err("data pair is not [addr, byte]".to_string()),
+            },
+            _ => Err("data entry is not a two-element array".to_string()),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    program.data_mut().extend(data);
     Ok(program)
 }
 
-/// Encodes a [`RunRequest`] canonically (transport *and*
-/// [`RunKey`](crate::store::RunKey) representation).
+/// Encodes a [`RunRequest`] canonically, programs in full (the
+/// transport representation).
 #[must_use]
 pub fn request_to_json(req: &RunRequest) -> Json {
+    request_json_with(req, program_to_json)
+}
+
+/// The [`RunKey`](crate::store::RunKey) representation of a request:
+/// [`request_to_json`] with each program replaced by the hex of its
+/// [`Program::digest`].
+pub(crate) fn request_key_json(req: &RunRequest) -> Json {
+    request_json_with(req, |p| Json::Str(crate::store::hex(&p.digest())))
+}
+
+fn request_json_with(req: &RunRequest, program: impl Fn(&Program) -> Json) -> Json {
     // Exhaustive: a new RunRequest field must be added here (and thus to
     // the RunKey) before this compiles again.
     let RunRequest { programs, prewarm, variant, attack, config, seed, record } = req;
-    let programs_json: Vec<Json> = programs.iter().map(program_to_json).collect();
+    let programs_json: Vec<Json> = programs.iter().map(program).collect();
     let prewarm_json: Vec<Json> = prewarm
         .iter()
         .map(|&(start, bytes, level)| {

@@ -115,8 +115,19 @@ impl Runner {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Corrupt store entries quarantined (and recomputed) so far; always
+    /// 0 without a local store.
+    #[must_use]
+    pub fn quarantined(&self) -> u64 {
+        match &self.backend {
+            Backend::Local { store: Some(store) } => store.quarantined(),
+            _ => 0,
+        }
+    }
+
     /// A one-line cache report for stderr, or `None` for a plain local
-    /// runner (no store, no server — nothing to report).
+    /// runner (no store, no server — nothing to report). Quarantined
+    /// entries are appended only when there were any.
     #[must_use]
     pub fn cache_report(&self) -> Option<String> {
         match &self.backend {
@@ -126,7 +137,11 @@ impl Runner {
                 let misses = self.misses();
                 let total = hits + misses;
                 let pct = if total == 0 { 0.0 } else { 100.0 * hits as f64 / total as f64 };
-                Some(format!("cache: {hits} hits, {misses} misses ({pct:.1}% cached)"))
+                let quarantined = match self.quarantined() {
+                    0 => String::new(),
+                    n => format!(", {n} quarantined"),
+                };
+                Some(format!("cache: {hits} hits, {misses} misses ({pct:.1}% cached){quarantined}"))
             }
         }
     }
@@ -304,34 +319,23 @@ impl Runner {
         store: Option<&ResultStore>,
         pool: &JobPool,
     ) -> Result<Vec<RunResult>, SimError> {
-        let mut slots: Vec<Option<RunResult>> = vec![None; reqs.len()];
-        let mut todo: Vec<usize> = Vec::new();
-        let keys: Vec<Option<RunKey>> = reqs
-            .iter()
-            .map(|req| {
-                (store.is_some() && self.cacheable(req))
-                    .then(|| RunKey::of(req, self.config()))
-            })
-            .collect();
-        if let Some(store) = store {
-            for (i, req) in reqs.iter().enumerate() {
-                match &keys[i] {
-                    Some(key) if !self.no_cache => match store.load(key)? {
-                        Some(result) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            slots[i] = Some(result);
-                        }
-                        None => todo.push(i),
-                    },
-                    _ => {
-                        let _ = req;
-                        todo.push(i);
-                    }
-                }
-            }
-        } else {
-            todo.extend(0..reqs.len());
-        }
+        // Keys and loads fan out on the pool; the first failing request
+        // (by index) fails the batch.
+        let lookups: Vec<(Option<RunKey>, Option<RunResult>)> = match store {
+            None => vec![(None, None); reqs.len()],
+            Some(store) => pool.try_run(reqs, |_, req| {
+                let key = self.cacheable(req).then(|| RunKey::of(req, self.config()));
+                let hit = match &key {
+                    Some(key) if !self.no_cache => store.load(key)?,
+                    _ => None,
+                };
+                Ok::<_, SimError>((key, hit))
+            })?,
+        };
+        let (keys, mut slots): (Vec<Option<RunKey>>, Vec<Option<RunResult>>) =
+            lookups.into_iter().unzip();
+        let todo: Vec<usize> = (0..reqs.len()).filter(|&i| slots[i].is_none()).collect();
+        self.hits.fetch_add((reqs.len() - todo.len()) as u64, Ordering::Relaxed);
 
         let fresh = pool.try_run(&todo, |_, &i| {
             self.sim.run(&reqs[i]).map(crate::RunOutput::into_result)

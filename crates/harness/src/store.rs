@@ -1,5 +1,6 @@
 //! The content-addressed result store: `RunKey = SHA-256(canonical
-//! request)` → serialized [`RunResult`] (DESIGN.md §13).
+//! request, programs by digest)` → serialized [`RunResult`] (DESIGN.md
+//! §13).
 //!
 //! Soundness rests on two invariants the repo already enforces:
 //!
@@ -14,101 +15,32 @@
 //!    (or any nested struct, or `RunRequest` itself) breaks compilation
 //!    until the codec — and therefore the key — covers it, so a
 //!    configuration change can never alias an old cache entry.
+//!
+//! A corrupt or truncated entry is never fatal: [`ResultStore::load`]
+//! renames it to `<hex>.corrupt`, counts it, and reports a miss, so the
+//! caller recomputes and re-saves it.
 
 use crate::proto::{self, Json};
 use crate::sim::{RunRequest, RunResult, SimError};
 use crate::SimConfig;
+use sdo_isa::Sha256;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+pub use sdo_isa::sha256;
 
 /// Version tag mixed into every key; bump it to invalidate all existing
 /// stores when the encoding itself changes meaning.
-const KEY_SCHEMA: &str = "sdo-runkey-v1";
+const KEY_SCHEMA: &str = "sdo-runkey-v2";
 
-// ---------------------------------------------------------------------------
-// SHA-256 (FIPS 180-4), in-tree: the workspace is offline-clean.
-// ---------------------------------------------------------------------------
-
-const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-];
-
-/// Computes the SHA-256 digest of `data`.
-#[must_use]
-pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    // Pad: 0x80, zeros, 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut w = [0u32; 64];
-    for chunk in msg.chunks_exact(64) {
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                chunk[4 * i],
-                chunk[4 * i + 1],
-                chunk[4 * i + 2],
-                chunk[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-        h[5] = h[5].wrapping_add(f);
-        h[6] = h[6].wrapping_add(g);
-        h[7] = h[7].wrapping_add(hh);
-    }
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+/// Renders a digest as 64 lowercase hex digits.
+pub(crate) fn hex(digest: &[u8; 32]) -> String {
+    let mut out = String::with_capacity(64);
+    for b in digest {
+        out.push_str(&format!("{b:02x}"));
     }
     out
 }
@@ -121,7 +53,8 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 /// request encoding with the configuration fully resolved (the
 /// simulator's base configuration is substituted in before hashing, so a
 /// request with no override and one overriding to the same configuration
-/// hash identically — they *are* the same simulation).
+/// hash identically — they *are* the same simulation) and each program
+/// standing in as its [`Program::digest`](sdo_isa::Program::digest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunKey([u8; 32]);
 
@@ -132,18 +65,18 @@ impl RunKey {
     pub fn of(req: &RunRequest, base: SimConfig) -> RunKey {
         let mut canonical = req.clone();
         canonical.config = Some(req.effective_config(base));
-        let payload = proto::request_to_json(&canonical).render();
-        RunKey(sha256(format!("{KEY_SCHEMA}\n{payload}").as_bytes()))
+        let payload = proto::request_key_json(&canonical).render();
+        let mut h = Sha256::new();
+        h.update(KEY_SCHEMA.as_bytes());
+        h.update(b"\n");
+        h.update(payload.as_bytes());
+        RunKey(h.finish())
     }
 
     /// The key as 64 lowercase hex digits.
     #[must_use]
     pub fn hex(&self) -> String {
-        let mut out = String::with_capacity(64);
-        for b in self.0 {
-            out.push_str(&format!("{b:02x}"));
-        }
-        out
+        hex(&self.0)
     }
 }
 
@@ -164,6 +97,7 @@ impl fmt::Display for RunKey {
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
+    quarantined: AtomicU64,
 }
 
 impl ResultStore {
@@ -176,7 +110,7 @@ impl ResultStore {
         let dir = dir.into();
         fs::create_dir_all(&dir)
             .map_err(|e| SimError::Store(format!("cannot create {}: {e}", dir.display())))?;
-        Ok(ResultStore { dir })
+        Ok(ResultStore { dir, quarantined: AtomicU64::new(0) })
     }
 
     /// The store's root directory.
@@ -190,24 +124,45 @@ impl ResultStore {
         self.dir.join(&hex[..2]).join(format!("{hex}.json"))
     }
 
-    /// Fetches a stored result, or `None` on a miss.
+    /// Entries [`load`](Self::load) has quarantined as corrupt so far.
+    #[must_use]
+    pub fn quarantined(&self) -> u64 {
+        self.quarantined.load(Ordering::Relaxed)
+    }
+
+    /// Fetches a stored result, or `None` on a miss. A corrupt entry is
+    /// quarantined (renamed to `<hex>.corrupt`) and reported as a miss.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Store`] on I/O failure or a corrupt entry.
+    /// Returns [`SimError::Store`] on I/O failure.
     pub fn load(&self, key: &RunKey) -> Result<Option<RunResult>, SimError> {
         let path = self.entry_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => {
                 return Err(SimError::Store(format!("cannot read {}: {e}", path.display())))
             }
         };
-        let corrupt =
-            |e: String| SimError::Store(format!("corrupt entry {}: {e}", path.display()));
-        let value = proto::parse_json(&text).map_err(corrupt)?;
-        proto::result_from_json(&value).map(Some).map_err(corrupt)
+        let parsed = String::from_utf8(bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|text| proto::parse_json(&text))
+            .and_then(|value| proto::result_from_json(&value));
+        if let Ok(result) = parsed {
+            return Ok(Some(result));
+        }
+        match fs::rename(&path, path.with_extension("corrupt")) {
+            Ok(()) => {
+                self.quarantined.fetch_add(1, Ordering::Relaxed);
+                Ok(None)
+            }
+            // A concurrent reader quarantined it first.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => {
+                Err(SimError::Store(format!("cannot quarantine {}: {e}", path.display())))
+            }
+        }
     }
 
     /// Persists a result under `key` (atomic; a racing identical write
@@ -350,32 +305,6 @@ mod tests {
     use crate::Variant;
     use sdo_workloads::kernels::l1_resident;
 
-    fn hex(bytes: &[u8; 32]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    #[test]
-    fn sha256_matches_fips_vectors() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        // Cross the one-block boundary (padding edge case).
-        let long = vec![b'a'; 1_000];
-        assert_eq!(
-            hex(&sha256(&long)),
-            "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3"
-        );
-    }
-
     #[test]
     fn run_key_is_stable_and_config_sensitive() {
         let prog = l1_resident(100, 1);
@@ -425,16 +354,33 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_entries_are_store_errors() {
+    fn corrupt_entries_are_quarantined_recomputed_and_resaved() {
         let dir = std::env::temp_dir().join(format!("sdo-store-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).unwrap();
+        let base = SimConfig::tiny();
         let prog = l1_resident(50, 1);
-        let key = RunKey::of(&RunRequest::program(&prog), SimConfig::tiny());
-        let path = dir.join(&key.hex()[..2]).join(format!("{}.json", key.hex()));
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, "not json\n").unwrap();
-        assert!(matches!(store.load(&key), Err(SimError::Store(_))));
+        let req = RunRequest::program(&prog);
+        let key = RunKey::of(&req, base);
+        let fresh = Simulator::new(base).run(&req).unwrap().into_result();
+
+        // Save a good entry, then truncate it mid-document.
+        let store = ResultStore::open(&dir).unwrap();
+        store.save(&key, &fresh).unwrap();
+        let path = store.entry_path(&key);
+        let text = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+
+        let runner = crate::Runner::with_store(base, &dir.to_string_lossy()).unwrap();
+        assert_eq!(runner.run_one(&req).unwrap(), fresh, "recomputed, not served corrupt");
+        assert!(path.with_extension("corrupt").exists(), "the corrupt entry is kept aside");
+        assert_eq!((runner.hits(), runner.misses(), runner.quarantined()), (0, 1, 1));
+        assert_eq!(
+            runner.cache_report().unwrap(),
+            "cache: 0 hits, 1 misses (0.0% cached), 1 quarantined"
+        );
+        // The recomputed result was re-saved: the next load hits.
+        assert_eq!(store.load(&key).unwrap(), Some(fresh));
+        assert_eq!(store.quarantined(), 0, "counters are per store handle");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,15 +9,19 @@
 //! config layer proving each one lands in the key.
 
 use sdo_harness::store::RunKey;
-use sdo_harness::{JobPool, Runner, RunRequest, SimConfig, Variant};
+use sdo_harness::{proto, JobPool, Runner, RunRequest, SimConfig, Variant};
+use sdo_isa::{Instruction, Program};
+use sdo_mem::CacheLevel;
+use sdo_rng::SdoRng;
 use sdo_uarch::AttackModel;
 use sdo_workloads::kernels::{self, l1_resident};
+use sdo_workloads::random::{random_program, SCRATCH_BASE};
 
 fn fixed_request() -> (sdo_isa::Program, SimConfig) {
     (l1_resident(120, 1), SimConfig::table_i())
 }
 
-/// The pinned digest of `fixed_request()` under `sdo-runkey-v1`. If this
+/// The pinned digest of `fixed_request()` under `sdo-runkey-v2`. If this
 /// test fails, the canonical request encoding changed: bump the domain
 /// tag in `store.rs`, re-pin this literal, and note in DESIGN.md §13
 /// that existing stores are invalidated.
@@ -27,7 +31,7 @@ fn runkey_digest_is_pinned() {
     let req = RunRequest::program(&prog).variant(Variant::Hybrid).seed(7);
     assert_eq!(
         RunKey::of(&req, base).hex(),
-        "a6da69c55830cf6ba25b5bfc842f136fdc7e5238c57caf22a61acdd9bd6cd635",
+        "2d1eca3646df70ccddc79886db8e3484bcdaa1167caabcea5e41418cd06c119b",
     );
 }
 
@@ -152,6 +156,94 @@ fn runkey_diverges_on_every_request_knob() {
     for (name, other) in variants {
         assert_ne!(RunKey::of(&other, base), key, "changing {name} must change the key");
     }
+}
+
+/// Each part of a program — its data image, its name, its instructions —
+/// and each warm-start range reaches the key, down to a single byte.
+#[test]
+fn runkey_diverges_on_every_program_part_and_prewarm_range() {
+    let (prog, base) = fixed_request();
+    let key_of = |p: &Program| RunKey::of(&RunRequest::program(p).variant(Variant::Hybrid), base);
+    let key = key_of(&prog);
+
+    let (addr, byte) = prog.data().iter().next().expect("l1_resident has data");
+    let mut data_byte = prog.clone();
+    data_byte.data_mut().set_byte(addr, byte ^ 1);
+    let mut name = prog.clone();
+    name.set_name("l1_resident_renamed");
+    let mut insts = prog.instructions().to_vec();
+    insts[0] = if insts[0] == Instruction::Nop { Instruction::Halt } else { Instruction::Nop };
+    let inst = Program::new(prog.name(), insts, prog.data().clone());
+    let edits = [("one data byte", data_byte), ("the name", name), ("one instruction", inst)];
+    for (what, other) in edits {
+        assert_ne!(key_of(&other), key, "changing {what} must change the key");
+    }
+    assert_eq!(key_of(&prog.clone()), key, "a clone is the same program");
+
+    let warmed = |start, bytes, level| {
+        let req = RunRequest::program(&prog).variant(Variant::Hybrid).warmed(start, bytes, level);
+        RunKey::of(&req, base)
+    };
+    let one = warmed(0x1000, 4096, CacheLevel::L2);
+    assert_ne!(one, key, "adding a prewarm range must change the key");
+    for (what, other) in [
+        ("start", warmed(0x1040, 4096, CacheLevel::L2)),
+        ("length", warmed(0x1000, 4160, CacheLevel::L2)),
+        ("level", warmed(0x1000, 4096, CacheLevel::L3)),
+    ] {
+        assert_ne!(other, one, "changing a prewarm range's {what} must change the key");
+    }
+}
+
+/// The v1-style canonical encoding: the whole request, data images in
+/// full, with the effective config resolved. Two requests are the same
+/// simulation exactly when these renders are equal.
+fn canonical_json(req: &RunRequest, base: SimConfig) -> String {
+    let mut canonical = req.clone();
+    canonical.config = Some(req.effective_config(base));
+    proto::request_to_json(&canonical).render()
+}
+
+/// Keying by program digest loses nothing: over fuzzed requests (random
+/// programs × variants × seeds × single-byte image edits), two keys are
+/// equal if and only if the full canonical renders are.
+#[test]
+fn runkey_v2_agrees_with_the_canonical_encoding() {
+    let base = SimConfig::tiny();
+    let mut rng = SdoRng::seed_from_u64(0x5d0_c0de);
+    let mut reqs = Vec::new();
+    for _ in 0..240 {
+        // Regenerated, not cloned: equal programs must not need a shared
+        // image to key alike.
+        let mut prog = random_program(rng.gen_range(0..3), 2);
+        if rng.gen_bool(0.6) {
+            let addr = SCRATCH_BASE + rng.gen_range(0..0x1000);
+            let old = prog.data().byte(addr);
+            let new = match rng.gen_range(0..3) {
+                0 => old, // a no-op edit keeps the image identical
+                1 => old ^ 1,
+                _ => rng.gen(),
+            };
+            prog.data_mut().set_byte(addr, new);
+        }
+        let variant = [Variant::Unsafe, Variant::Hybrid][rng.gen_range(0..2)];
+        reqs.push(RunRequest::program(&prog).variant(variant).seed(rng.gen_range(0..2)));
+    }
+    let keys: Vec<RunKey> = reqs.iter().map(|r| RunKey::of(r, base)).collect();
+    let renders: Vec<String> = reqs.iter().map(|r| canonical_json(r, base)).collect();
+    let (mut same, mut different) = (0, 0);
+    for i in 0..reqs.len() {
+        for j in i + 1..reqs.len() {
+            let equal = renders[i] == renders[j];
+            assert_eq!(keys[i] == keys[j], equal, "requests {i} and {j}");
+            if equal {
+                same += 1;
+            } else {
+                different += 1;
+            }
+        }
+    }
+    assert!(same > 0 && different > 0, "both sides of the iff are exercised");
 }
 
 /// The cache-semantics contract end to end, at suite granularity: a

@@ -10,7 +10,9 @@
 //!   memory image),
 //! * [`Assembler`] — a label-based builder API for writing programs in Rust,
 //! * [`Interpreter`] — a functional, in-order reference interpreter used as
-//!   the *golden model* for differential testing of the out-of-order core.
+//!   the *golden model* for differential testing of the out-of-order core,
+//! * [`Sha256`] — the streaming hash behind [`Program::digest`], the
+//!   content address the result store keys runs by.
 //!
 //! The ISA is deliberately RISC-like and word-oriented: the program counter
 //! counts *instructions* (not bytes), data memory is byte-addressed with
@@ -42,6 +44,7 @@
 #![warn(missing_debug_implementations)]
 
 mod asm;
+mod digest;
 mod inst;
 mod interp;
 mod parse;
@@ -49,6 +52,7 @@ mod program;
 mod reg;
 
 pub use asm::{AsmError, Assembler, Label};
+pub use digest::{sha256, Sha256};
 pub use inst::{AluOp, BranchCond, FpuOp, Instruction, MemWidth, OpClass};
 pub use interp::{ExecutedInst, InterpError, Interpreter, StepOutcome};
 pub use parse::{parse_asm, ParseError};

@@ -32,6 +32,7 @@ use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID};
 use sdo_harness::store::{ResultStore, RunKey};
 use sdo_harness::{RunRequest, RunResult, SimConfig, SimError, Simulator};
 use sdo_verify::{CampaignConfig, Checker};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -279,7 +280,7 @@ impl Server {
         // reply slot directly, grid points accumulate per grid (the
         // expansion pushed them contiguously in point order, and the
         // alignment preserves that order).
-        let mut acc: Vec<Vec<Result<(RunResult, bool), String>>> =
+        let mut acc: Vec<Vec<RunOutcome>> =
             grids.iter().map(|g| Vec::with_capacity(g.points)).collect();
         for (run, outcome) in runs.iter().zip(self.execute_runs(&runs)) {
             match run.grid {
@@ -314,32 +315,31 @@ impl Server {
         replies.into_iter().flatten().collect()
     }
 
-    /// Executes the accepted run requests of one batch: store lookups
-    /// first, then the remainder fanned out on the warm pool (each
-    /// simulation individually panic-guarded), then store writes.
+    /// Executes the accepted run requests of one batch: keys and store
+    /// lookups first, then the remainder simulated (each simulation
+    /// individually panic-guarded), both fanned out on the warm pool,
+    /// then store writes.
     /// Returns one result-or-error per run, aligned with `runs`.
-    fn execute_runs(&self, runs: &[AcceptedRun]) -> Vec<Result<(RunResult, bool), String>> {
+    fn execute_runs(&self, runs: &[AcceptedRun]) -> Vec<RunOutcome> {
         let base = *self.sim.config();
-        let keys: Vec<Option<RunKey>> = runs
-            .iter()
-            .map(|run| cacheable(&run.request, base).then(|| RunKey::of(&run.request, base)))
-            .collect();
-
-        let mut out: Vec<Option<Result<(RunResult, bool), String>>> = vec![None; runs.len()];
-        let mut todo: Vec<usize> = Vec::new(); // indices into `runs`
-        for (j, run) in runs.iter().enumerate() {
-            match (&self.store, &keys[j]) {
+        // Keys and loads fan out on the pool. A load failure is that
+        // request's error reply, never the batch's.
+        let lookups = self.pool.run(runs, |_, run| {
+            let key = cacheable(&run.request, base).then(|| RunKey::of(&run.request, base));
+            let outcome = match (&self.store, &key) {
                 (Some(store), Some(key)) if !run.no_cache => match store.load(key) {
-                    Ok(Some(result)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        out[j] = Some(Ok((result, true)));
-                    }
-                    Ok(None) => todo.push(j),
-                    Err(e) => out[j] = Some(Err(e.to_string())),
+                    Ok(hit) => hit.map(|result| Ok((result, true))),
+                    Err(e) => Some(Err(e.to_string())),
                 },
-                _ => todo.push(j),
-            }
-        }
+                _ => None,
+            };
+            (key, outcome)
+        });
+        let (keys, mut out): (Vec<Option<RunKey>>, Vec<Option<RunOutcome>>) =
+            lookups.into_iter().unzip();
+        let hits = out.iter().filter(|o| matches!(o, Some(Ok(_)))).count();
+        self.hits.fetch_add(hits as u64, Ordering::Relaxed);
+        let todo: Vec<usize> = (0..runs.len()).filter(|&j| out[j].is_none()).collect();
 
         // Coalesce in-flight duplicates: requests with the same RunKey
         // in one batch simulate once — the representative runs (and
@@ -349,14 +349,14 @@ impl Server {
         let mut unique: Vec<usize> = Vec::new(); // indices into `runs`
         let mut assign: Vec<(usize, usize)> = Vec::new(); // (runs idx, unique pos)
         {
-            let mut seen: Vec<(&RunKey, usize)> = Vec::new();
+            let mut seen: HashMap<RunKey, usize> = HashMap::new();
             for &j in &todo {
-                if let (false, Some(key)) = (runs[j].no_cache, &keys[j]) {
-                    if let Some(&(_, pos)) = seen.iter().find(|(k, _)| *k == key) {
+                if let (false, Some(key)) = (runs[j].no_cache, keys[j]) {
+                    if let Some(&pos) = seen.get(&key) {
                         assign.push((j, pos));
                         continue;
                     }
-                    seen.push((key, unique.len()));
+                    seen.insert(key, unique.len());
                 }
                 assign.push((j, unique.len()));
                 unique.push(j);
@@ -369,8 +369,7 @@ impl Server {
                 Ok::<_, SimError>(self.run_guarded(&runs[j].request))
             })
             .expect("guarded closure never errs");
-        let mut results: Vec<Result<(RunResult, bool), String>> =
-            Vec::with_capacity(unique.len());
+        let mut results: Vec<RunOutcome> = Vec::with_capacity(unique.len());
         for (&j, outcome) in unique.iter().zip(fresh) {
             self.misses.fetch_add(1, Ordering::Relaxed);
             let outcome = outcome.and_then(|result| {
@@ -470,6 +469,10 @@ fn servable(req: &RunRequest) -> Result<(), String> {
 fn cacheable(req: &RunRequest, base: SimConfig) -> bool {
     !req.effective_config(base).obs.enabled()
 }
+
+/// What one accepted run resolves to: its result and whether it was
+/// served from the store, or an error message for its reply.
+type RunOutcome = Result<(RunResult, bool), String>;
 
 /// A run request admitted past the queue bound, with its reply slot in
 /// the batch and its echoed id. Grid points carry the index of their
