@@ -13,6 +13,7 @@
 
 use crate::taint::Analysis;
 use sdo_harness::export::Column;
+use sdo_harness::proto::{escape_json, unescape_json};
 use sdo_harness::Variant;
 use sdo_workloads::Channel;
 use std::fmt;
@@ -88,12 +89,12 @@ impl Finding {
         format!(
             "{{\"type\":\"finding\",\"program\":\"{}\",\"variant\":\"{}\",\"kind\":\"{}\",\
              \"pc\":{},\"channel\":{},\"inst\":\"{}\",\"sources\":[{}],\"branches\":[{}]}}",
-            json_escape(&self.program),
+            escape_json(&self.program),
             self.variant.slug(),
             self.kind,
             self.pc,
             channel,
-            json_escape(&self.inst),
+            escape_json(&self.inst),
             join_u64(&self.sources, ","),
             join_u64(&self.branches, ","),
         )
@@ -127,30 +128,26 @@ impl Finding {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 pub(crate) fn join_u64(xs: &[u64], sep: &str) -> String {
     xs.iter().map(u64::to_string).collect::<Vec<_>>().join(sep)
 }
 
 /// Extracts and unescapes a `"key":"value"` string field, honoring
-/// backslash escapes in the value (so fields before the last are safe
-/// even when the disassembly ever grows a quote).
+/// every JSON escape in the value. Escaping puts a backslash before each
+/// quote inside a string, so a value can never spell another field's
+/// `"key":"` opening.
 pub(crate) fn str_field(line: &str, key: &str) -> Result<String, String> {
     let pat = format!("\"{key}\":\"");
     let start = line.find(&pat).ok_or_else(|| format!("missing field {key:?}"))? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
+    let body = &line[start..];
+    let mut escaped = false;
+    for (i, c) in body.char_indices() {
         match c {
-            '\\' => match chars.next() {
-                Some(e) => out.push(e),
-                None => return Err(format!("dangling escape in field {key:?}")),
-            },
-            '"' => return Ok(out),
-            _ => out.push(c),
+            _ if escaped => escaped = false,
+            '\\' => escaped = true,
+            '"' => return unescape_json(&body[..i]).map_err(|e| format!("field {key:?}: {e}")),
+            _ => {}
         }
     }
     Err(format!("unterminated field {key:?}"))
@@ -416,6 +413,30 @@ mod tests {
         assert_eq!(parsed, f);
         assert!(Finding::parse_jsonl("{}").is_err());
         assert!(Finding::parse_jsonl("{\"type\":\"finding\",\"program\":\"p\"").is_err());
+    }
+
+    #[test]
+    fn jsonl_control_characters_and_embedded_keys_round_trip_on_one_line() {
+        // A newline or other control character in a string must not
+        // break JSONL framing, and a string value that spells another
+        // field's `"key":` must not shadow that field.
+        for hostile in ["line\nbreak", "tab\there", "bell\u{1}", "\"kind\":\"dead_untaint\",\"pc\":9"] {
+            let f = Finding {
+                program: hostile.into(),
+                variant: Variant::SttLd,
+                kind: FindingKind::PotentialTransmitGadget,
+                pc: 5,
+                channel: Some(Channel::Cache),
+                inst: format!("ld {hostile}"),
+                sources: vec![1, 2],
+                branches: vec![3],
+            };
+            let line = f.to_jsonl();
+            assert!(!line.chars().any(char::is_control), "raw control char in {line:?}");
+            let parsed = Finding::parse_jsonl(&line).expect("parse");
+            assert_eq!(parsed, f);
+            assert_eq!(parsed.to_jsonl(), line);
+        }
     }
 
     #[test]

@@ -33,12 +33,13 @@
 use crate::callgraph;
 use crate::cfg::Cfg;
 use crate::findings::{
-    channel_name, int_field, int_list_field, join_u64, json_escape, mechanism_suppresses,
-    parse_channel, parse_variant, str_field,
+    channel_name, int_field, int_list_field, join_u64, mechanism_suppresses, parse_channel,
+    parse_variant, str_field,
 };
 use crate::memory::MemModel;
 use crate::taint::{analyze_with, Analysis};
 use sdo_harness::export::Column;
+use sdo_harness::proto::escape_json;
 use sdo_harness::Variant;
 use sdo_isa::Program;
 use sdo_rv32::Provenance;
@@ -78,7 +79,7 @@ impl Gadget {
         format!(
             "{{\"type\":\"gadget\",\"program\":\"{}\",\"variant\":\"{}\",\"channel\":\"{}\",\
              \"access_pc\":{},\"transmit_pc\":{},\"pending_branch\":{},\"witness_path\":[{}]}}",
-            json_escape(&self.program),
+            escape_json(&self.program),
             self.variant.slug(),
             channel_name(self.channel),
             self.access_pc,

@@ -54,4 +54,5 @@ pub use engine::{JobPool, Throughput};
 pub use runner::Runner;
 pub use sim::{RunOutput, RunRequest, RunResult, SimError, Simulator};
 pub use store::{ResultStore, RunKey};
+pub use sdo_isa::Program;
 pub use sdo_uarch::AttackModel;

@@ -10,6 +10,12 @@
 //! and must survive the round trip bit-for-bit (floats would silently
 //! round above 2^53, so the parser rejects them).
 //!
+//! A `run` or `grid` line carries each program either in full
+//! (`{name, asm, data}`) or as a reference `{"digest":"<64 hex>"}` to
+//! its [`Program::digest`]. The daemon resolves references against the
+//! programs it has parsed and answers [`Reply::NeedProgram`] for one it
+//! does not hold; the client then sends that program in full.
+//!
 //! The [`SimConfig`] codec destructures every configuration struct
 //! exhaustively (no `..` patterns): adding a field to any of them without
 //! teaching the codec — and therefore the [`RunKey`](crate::store::RunKey)
@@ -105,6 +111,13 @@ impl Json {
         }
     }
 
+    fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// A required `u64` field of an object.
     ///
     /// # Errors
@@ -173,6 +186,35 @@ impl Json {
 
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
+    escape_json_into(s, out);
+    out.push('"');
+}
+
+/// Escapes `s` for the inside of a JSON string literal: quotes,
+/// backslashes and every control character, so the result never
+/// breaks a JSONL line. [`unescape_json`] is its inverse.
+#[must_use]
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_json_into(s, &mut out);
+    out
+}
+
+/// Decodes the inside of a JSON string literal (the text between its
+/// quotes), honouring every JSON escape — the inverse of
+/// [`escape_json`].
+///
+/// # Errors
+///
+/// Returns a message for a bad escape or an unescaped quote.
+pub fn unescape_json(body: &str) -> Result<String, String> {
+    match parse_json(&format!("\"{body}\""))? {
+        Json::Str(s) => Ok(s),
+        _ => Err("not a string body".to_string()),
+    }
+}
+
+fn escape_json_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -186,7 +228,6 @@ fn write_json_string(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// Parses one JSON value from `input` (trailing whitespace allowed,
@@ -717,11 +758,74 @@ pub fn program_from_json(v: &Json) -> Result<Program, String> {
     Ok(program)
 }
 
+/// A program reference on the wire: `{"digest":"<64 lowercase hex>"}`,
+/// naming a program by its [`Program::digest`].
+fn program_ref_json(digest: &[u8; 32]) -> Json {
+    obj(vec![("digest", Json::Str(crate::store::hex(digest)))])
+}
+
+/// A `programs` entry is a reference exactly when it carries a
+/// `digest` key; otherwise it is the program in full.
+fn is_program_ref(v: &Json) -> bool {
+    v.get("digest").is_some()
+}
+
+/// The digest a reference entry names.
+fn program_ref_digest(v: &Json) -> Result<[u8; 32], String> {
+    if !matches!(v, Json::Obj(pairs) if pairs.len() == 1) {
+        return Err("a program reference carries only a 'digest' field".to_string());
+    }
+    parse_digest(v.str_field("digest")?)
+}
+
+/// Decodes 64 lowercase hex digits (the form [`crate::store::hex`]
+/// renders) into a digest.
+fn parse_digest(text: &str) -> Result<[u8; 32], String> {
+    let bytes = text.as_bytes();
+    if bytes.len() != 64 || !bytes.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return Err("a program digest is 64 lowercase hex digits".to_string());
+    }
+    let nibble = |b: u8| if b <= b'9' { b - b'0' } else { b - b'a' + 10 };
+    let mut digest = [0u8; 32];
+    for (d, pair) in digest.iter_mut().zip(bytes.chunks_exact(2)) {
+        *d = nibble(pair[0]) << 4 | nibble(pair[1]);
+    }
+    Ok(digest)
+}
+
+/// Registers every full program of a parsed `run` or `grid` line and
+/// rewrites its entry into a reference to the digest `register`
+/// returns, so that decoding resolves both wire forms one way. The
+/// digest is whatever `register` computes, never one the line claims.
+/// An entry that does not decode stays as sent and fails again, with
+/// the same message, in [`Request::decode`].
+pub fn register_programs(line: &mut Json, mut register: impl FnMut(Program) -> [u8; 32]) {
+    if !matches!(line.get("op"), Some(Json::Str(op)) if op == "run" || op == "grid") {
+        return;
+    }
+    let Some(Json::Arr(entries)) =
+        line.get_mut("request").and_then(|request| request.get_mut("programs"))
+    else {
+        return;
+    };
+    for entry in entries.iter_mut().filter(|e| !is_program_ref(e)) {
+        if let Ok(program) = program_from_json(entry) {
+            *entry = program_ref_json(&register(program));
+        }
+    }
+}
+
 /// Encodes a [`RunRequest`] canonically, programs in full (the
 /// transport representation).
 #[must_use]
 pub fn request_to_json(req: &RunRequest) -> Json {
     request_json_with(req, program_to_json)
+}
+
+/// [`request_to_json`] with each program sent as a reference to its
+/// digest — the form a client sends once a daemon holds the program.
+fn request_to_json_by_digest(req: &RunRequest) -> Json {
+    request_json_with(req, |p| program_ref_json(&p.digest()))
 }
 
 /// The [`RunKey`](crate::store::RunKey) representation of a request:
@@ -764,15 +868,35 @@ fn request_json_with(req: &RunRequest, program: impl Fn(&Program) -> Json) -> Js
 }
 
 /// Decodes a [`RunRequest`] from [`request_to_json`]'s representation.
+/// Programs must be sent in full: there is no table to resolve a
+/// reference against.
 ///
 /// # Errors
 ///
 /// Returns a message on the first malformed field.
 pub fn request_from_json(v: &Json) -> Result<RunRequest, String> {
-    let programs: Vec<Program> =
-        v.arr_field("programs")?.iter().map(program_from_json).collect::<Result<_, _>>()?;
+    request_from_json_with(v, &mut |digest| {
+        Err(format!("program {} is a reference, not a program", crate::store::hex(digest)))
+    })
+}
+
+/// Decodes a [`RunRequest`] whose programs may be full or references;
+/// `resolve` turns each reference into its program (or the error the
+/// line fails with).
+fn request_from_json_with<E: From<String>>(
+    v: &Json,
+    resolve: &mut impl FnMut(&[u8; 32]) -> Result<Program, E>,
+) -> Result<RunRequest, E> {
+    let mut programs = Vec::new();
+    for entry in v.arr_field("programs")? {
+        programs.push(if is_program_ref(entry) {
+            resolve(&program_ref_digest(entry)?)?
+        } else {
+            program_from_json(entry)?
+        });
+    }
     if programs.is_empty() {
-        return Err("request has no programs".to_string());
+        return Err("request has no programs".to_string().into());
     }
     let mut prewarm = Vec::new();
     for entry in v.arr_field("prewarm")? {
@@ -781,9 +905,9 @@ pub fn request_from_json(v: &Json) -> Result<RunRequest, String> {
                 (Json::UInt(start), Json::UInt(bytes), Json::Str(level)) => {
                     prewarm.push((*start, *bytes, level_from_slug(level)?));
                 }
-                _ => return Err("prewarm entry is not [start, bytes, level]".to_string()),
+                _ => return Err("prewarm entry is not [start, bytes, level]".to_string().into()),
             },
-            _ => return Err("prewarm entry is not a three-element array".to_string()),
+            _ => return Err("prewarm entry is not a three-element array".to_string().into()),
         }
     }
     let config = match v.get("config") {
@@ -1113,21 +1237,76 @@ pub enum Request {
     Shutdown,
 }
 
+/// Why a request line did not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The line is malformed; the daemon answers a typed `error`.
+    Malformed(String),
+    /// A well-formed `run` or `grid` line names a program by a digest
+    /// the resolver does not hold; the daemon answers
+    /// [`Reply::NeedProgram`].
+    NeedProgram {
+        /// The line's request id.
+        id: u64,
+        /// The unresolved program digest.
+        digest: [u8; 32],
+    },
+}
+
+impl From<String> for DecodeError {
+    fn from(message: String) -> Self {
+        DecodeError::Malformed(message)
+    }
+}
+
+/// The id of a `run` or `grid` line, which may not be the reserved
+/// [`BATCH_ERROR_ID`].
+fn request_id(v: &Json) -> Result<u64, String> {
+    match v.u64_field("id")? {
+        BATCH_ERROR_ID => {
+            Err(format!("request id {BATCH_ERROR_ID} is reserved for unattributable errors"))
+        }
+        id => Ok(id),
+    }
+}
+
+fn no_cache_field(v: &Json) -> Result<bool, String> {
+    match v.get("no_cache") {
+        Some(Json::Bool(b)) => Ok(*b),
+        None => Ok(false),
+        Some(_) => Err("field 'no_cache' is not a bool".to_string()),
+    }
+}
+
 impl Request {
-    /// Renders the message as one JSON line (no trailing newline).
+    /// Renders the message as one JSON line (no trailing newline), every
+    /// program in full.
     #[must_use]
     pub fn render(&self) -> String {
+        self.render_with(request_to_json)
+    }
+
+    /// Renders the message as one JSON line with every program sent as a
+    /// `{"digest":"<hex>"}` reference to its [`Program::digest`]. A
+    /// daemon that does not hold the program answers
+    /// [`Reply::NeedProgram`].
+    #[must_use]
+    pub fn render_by_digest(&self) -> String {
+        self.render_with(request_to_json_by_digest)
+    }
+
+    fn render_with(&self, request_json: fn(&RunRequest) -> Json) -> String {
         match self {
             Request::Run { id, request, no_cache } => obj(vec![
                 ("op", Json::Str("run".to_string())),
                 ("id", Json::UInt(*id)),
-                ("request", request_to_json(request)),
+                ("request", request_json(request)),
                 ("no_cache", Json::Bool(*no_cache)),
             ]),
             Request::Grid { id, request, configs, variants, no_cache } => obj(vec![
                 ("op", Json::Str("grid".to_string())),
                 ("id", Json::UInt(*id)),
-                ("request", request_to_json(request)),
+                ("request", request_json(request)),
                 ("configs", Json::Arr(configs.iter().map(config_to_json).collect())),
                 (
                     "variants",
@@ -1153,25 +1332,45 @@ impl Request {
         .render()
     }
 
-    /// Parses one request line.
+    /// Parses one request line whose programs are all sent in full.
     ///
     /// # Errors
     ///
-    /// Returns a message for malformed JSON or an unknown `op` — the
-    /// daemon turns this into a typed `error` reply rather than dying.
+    /// Returns a message for malformed JSON, an unknown `op` or a
+    /// program reference — the daemon turns this into a typed `error`
+    /// reply rather than dying.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = parse_json(line)?;
+        Request::decode(&parse_json(line)?, |_| None).map_err(|e| match e {
+            DecodeError::Malformed(message) => message,
+            DecodeError::NeedProgram { digest, .. } => {
+                format!("program {} is a reference, not a program", crate::store::hex(&digest))
+            }
+        })
+    }
+
+    /// Decodes one parsed request line, resolving each program reference
+    /// through `resolve` (full programs decode as sent).
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::NeedProgram`] for a reference `resolve` does not
+    /// know; [`DecodeError::Malformed`] for anything else wrong.
+    pub fn decode(
+        v: &Json,
+        mut resolve: impl FnMut(&[u8; 32]) -> Option<Program>,
+    ) -> Result<Request, DecodeError> {
+        let mut request = |id: u64| {
+            request_from_json_with(v.obj_field("request")?, &mut |digest: &[u8; 32]| {
+                resolve(digest).ok_or(DecodeError::NeedProgram { id, digest: *digest })
+            })
+        };
         match v.str_field("op")? {
-            "run" => Ok(Request::Run {
-                id: v.u64_field("id")?,
-                request: request_from_json(v.obj_field("request")?)?,
-                no_cache: match v.get("no_cache") {
-                    Some(Json::Bool(b)) => *b,
-                    None => false,
-                    Some(_) => return Err("field 'no_cache' is not a bool".to_string()),
-                },
-            }),
+            "run" => {
+                let id = request_id(v)?;
+                Ok(Request::Run { id, request: request(id)?, no_cache: no_cache_field(v)? })
+            }
             "grid" => {
+                let id = request_id(v)?;
                 let configs = v
                     .arr_field("configs")?
                     .iter()
@@ -1181,19 +1380,15 @@ impl Request {
                 for item in v.arr_field("variants")? {
                     match item {
                         Json::Str(slug) => variants.push(variant_from_slug(slug)?),
-                        _ => return Err("variants entry is not a string".to_string()),
+                        _ => return Err("variants entry is not a string".to_string().into()),
                     }
                 }
                 Ok(Request::Grid {
-                    id: v.u64_field("id")?,
-                    request: request_from_json(v.obj_field("request")?)?,
+                    id,
+                    request: request(id)?,
                     configs,
                     variants,
-                    no_cache: match v.get("no_cache") {
-                        Some(Json::Bool(b)) => *b,
-                        None => false,
-                        Some(_) => return Err("field 'no_cache' is not a bool".to_string()),
-                    },
+                    no_cache: no_cache_field(v)?,
                 })
             }
             "stats" => Ok(Request::Stats { id: v.u64_field("id")? }),
@@ -1204,7 +1399,7 @@ impl Request {
                 fuzz: v.u64_field("fuzz")?,
             }),
             "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown op '{other}'")),
+            other => Err(format!("unknown op '{other}'").into()),
         }
     }
 }
@@ -1248,6 +1443,15 @@ pub enum Reply {
         /// Echoed request id.
         id: u64,
     },
+    /// Upload-on-miss: the request named a program by a digest the
+    /// daemon does not hold. The client resubmits it with the program in
+    /// full (or another line of the same batch carrying it).
+    NeedProgram {
+        /// Echoed request id.
+        id: u64,
+        /// The digest the daemon lacks.
+        digest: [u8; 32],
+    },
     /// Daemon statistics.
     Stats {
         /// Echoed request id.
@@ -1258,6 +1462,10 @@ pub enum Reply {
         misses: u64,
         /// Entries currently in the store.
         entries: u64,
+        /// Programs resident in the daemon's program table.
+        programs: u64,
+        /// Full programs received since startup.
+        uploads: u64,
     },
     /// A completed verification campaign.
     Campaign {
@@ -1306,7 +1514,11 @@ impl Reply {
             Reply::Busy { id } => {
                 obj(vec![("id", Json::UInt(*id)), ("busy", Json::Bool(true))])
             }
-            Reply::Stats { id, hits, misses, entries } => obj(vec![
+            Reply::NeedProgram { id, digest } => obj(vec![
+                ("id", Json::UInt(*id)),
+                ("need_program", Json::Str(crate::store::hex(digest))),
+            ]),
+            Reply::Stats { id, hits, misses, entries, programs, uploads } => obj(vec![
                 ("id", Json::UInt(*id)),
                 (
                     "stats",
@@ -1314,6 +1526,8 @@ impl Reply {
                         ("hits", Json::UInt(*hits)),
                         ("misses", Json::UInt(*misses)),
                         ("entries", Json::UInt(*entries)),
+                        ("programs", Json::UInt(*programs)),
+                        ("uploads", Json::UInt(*uploads)),
                     ]),
                 ),
             ]),
@@ -1346,12 +1560,17 @@ impl Reply {
         if let Some(Json::Bool(true)) = v.get("busy") {
             return Ok(Reply::Busy { id });
         }
+        if v.get("need_program").is_some() {
+            return Ok(Reply::NeedProgram { id, digest: parse_digest(v.str_field("need_program")?)? });
+        }
         if let Some(stats) = v.get("stats") {
             return Ok(Reply::Stats {
                 id,
                 hits: stats.u64_field("hits")?,
                 misses: stats.u64_field("misses")?,
                 entries: stats.u64_field("entries")?,
+                programs: stats.u64_field("programs")?,
+                uploads: stats.u64_field("uploads")?,
             });
         }
         if let Some(campaign) = v.get("campaign") {
@@ -1384,7 +1603,7 @@ impl Reply {
                 cached: v.bool_field("cached")?,
             });
         }
-        Err("reply carries none of result/error/busy/stats/campaign/grid".to_string())
+        Err("reply carries none of result/error/busy/need_program/stats/campaign/grid".to_string())
     }
 }
 
@@ -1450,6 +1669,82 @@ mod tests {
             let orig: Vec<(u64, u8)> = w.program().data().iter().collect();
             let back: Vec<(u64, u8)> = decoded.data().iter().collect();
             assert_eq!(orig, back);
+            // A client names a program by the digest it computes; the
+            // daemon resolves it to the program it digested after the
+            // wire round trip. The two must agree.
+            assert_eq!(decoded.digest(), w.program().digest());
+        }
+    }
+
+    #[test]
+    fn escape_json_round_trips_control_characters() {
+        let hostile = "a\"b\\c\nd\te\u{1}f\u{1f}g\"key\":h é";
+        let escaped = escape_json(hostile);
+        assert!(!escaped.chars().any(char::is_control), "{escaped:?}");
+        assert_eq!(unescape_json(&escaped).unwrap(), hostile);
+        assert!(unescape_json("unescaped \" quote").is_err());
+        assert!(unescape_json("dangling \\").is_err());
+    }
+
+    #[test]
+    fn requests_by_digest_decode_through_the_resolver() {
+        let prog = l1_resident(50, 1);
+        let run = Request::Run {
+            id: 3,
+            request: RunRequest::program(&prog).variant(Variant::SttLd),
+            no_cache: true,
+        };
+        let grid = Request::Grid {
+            id: 8,
+            request: RunRequest::program(&prog),
+            configs: vec![SimConfig::tiny()],
+            variants: vec![Variant::Unsafe, Variant::SttLd],
+            no_cache: false,
+        };
+        for msg in [run, grid] {
+            let line = msg.render_by_digest();
+            assert!(line.len() < msg.render().len() / 4, "a reference is not an image");
+            let v = parse_json(&line).unwrap();
+            let known = |d: &[u8; 32]| (*d == prog.digest()).then(|| prog.clone());
+            assert_eq!(Request::decode(&v, known).unwrap(), msg);
+            let id = match msg {
+                Request::Run { id, .. } | Request::Grid { id, .. } => id,
+                _ => unreachable!(),
+            };
+            assert_eq!(
+                Request::decode(&v, |_| None),
+                Err(DecodeError::NeedProgram { id, digest: prog.digest() })
+            );
+            assert!(Request::parse(&line).unwrap_err().contains("is a reference"));
+        }
+    }
+
+    #[test]
+    fn registration_rewrites_full_programs_into_the_registrars_digest() {
+        let prog = l1_resident(50, 1);
+        let run = Request::Run { id: 1, request: RunRequest::program(&prog), no_cache: false };
+        let mut v = parse_json(&run.render()).unwrap();
+        // The registrar decides the digest; nothing on the line does.
+        let chosen = [7u8; 32];
+        let mut registered = Vec::new();
+        register_programs(&mut v, |p| {
+            registered.push(p);
+            chosen
+        });
+        assert_eq!(registered, vec![prog.clone()]);
+        assert_eq!(
+            v.get("request").and_then(|r| r.get("programs")),
+            Some(&Json::Arr(vec![program_ref_json(&chosen)]))
+        );
+        let decoded = Request::decode(&v, |d| (*d == chosen).then(|| prog.clone())).unwrap();
+        assert_eq!(decoded, run);
+
+        // Non-run lines and references are left alone.
+        for line in [Request::Stats { id: 2 }.render(), run.render_by_digest()] {
+            let mut v = parse_json(&line).unwrap();
+            let before = v.clone();
+            register_programs(&mut v, |_| unreachable!("nothing to register"));
+            assert_eq!(v, before);
         }
     }
 
@@ -1515,7 +1810,8 @@ mod tests {
             Reply::Result { id: 3, result, cached: true },
             Reply::Error { id: 4, message: "boom \"quoted\"".to_string() },
             Reply::Busy { id: 5 },
-            Reply::Stats { id: 6, hits: 1, misses: 2, entries: 3 },
+            Reply::Stats { id: 6, hits: 1, misses: 2, entries: 3, programs: 4, uploads: 5 },
+            Reply::NeedProgram { id: 7, digest: prog.digest() },
             Reply::Campaign { id: 7, passed: false, checks: 12, render: "line1\nline2".to_string() },
         ] {
             assert_eq!(Reply::parse(&reply.render()).unwrap(), reply);
@@ -1527,5 +1823,7 @@ mod tests {
         assert!(Request::parse("not json").is_err());
         assert!(Request::parse("{\"op\":\"launch_missiles\"}").unwrap_err().contains("unknown op"));
         assert!(Request::parse("{\"op\":\"run\",\"id\":1}").unwrap_err().contains("request"));
+        let reserved = format!("{{\"op\":\"run\",\"id\":{BATCH_ERROR_ID}}}");
+        assert!(Request::parse(&reserved).unwrap_err().contains("reserved"));
     }
 }

@@ -11,8 +11,9 @@
 use crate::engine::JobPool;
 use crate::proto::{Reply, Request, BATCH_ERROR_ID};
 use crate::sim::{RunRequest, RunResult, SimError, Simulator};
-use crate::store::{ResultStore, RunKey};
+use crate::store::{hex, ResultStore, RunKey};
 use crate::{SimConfig, Variant};
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,20 +36,26 @@ pub struct Runner {
     no_cache: bool,
     hits: AtomicU64,
     misses: AtomicU64,
+    uploads: AtomicU64,
 }
 
 impl Runner {
+    fn with_backend(cfg: SimConfig, backend: Backend) -> Self {
+        Runner {
+            sim: Simulator::new(cfg),
+            backend,
+            no_cache: false,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            uploads: AtomicU64::new(0),
+        }
+    }
+
     /// A purely local runner (no store, no daemon) — the classic
     /// in-process harness behavior.
     #[must_use]
     pub fn local(cfg: SimConfig) -> Self {
-        Runner {
-            sim: Simulator::new(cfg),
-            backend: Backend::Local { store: None },
-            no_cache: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Self::with_backend(cfg, Backend::Local { store: None })
     }
 
     /// A local runner memoizing through the content-addressed store at
@@ -58,26 +65,15 @@ impl Runner {
     ///
     /// Returns [`SimError::Store`] if the store cannot be opened.
     pub fn with_store(cfg: SimConfig, dir: &str) -> Result<Self, SimError> {
-        Ok(Runner {
-            sim: Simulator::new(cfg),
-            backend: Backend::Local { store: Some(ResultStore::open(dir)?) },
-            no_cache: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
+        Ok(Self::with_backend(cfg, Backend::Local { store: Some(ResultStore::open(dir)?) }))
     }
 
     /// A thin client submitting every batch to the daemon listening on
-    /// the Unix socket at `path`.
+    /// the Unix socket at `path`. Programs travel by digest and are sent
+    /// in full only when the daemon answers `NeedProgram`.
     #[must_use]
     pub fn server(cfg: SimConfig, path: impl Into<String>) -> Self {
-        Runner {
-            sim: Simulator::new(cfg),
-            backend: Backend::Server { path: path.into() },
-            no_cache: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Self::with_backend(cfg, Backend::Server { path: path.into() })
     }
 
     /// Disables store lookups (results are still saved locally when a
@@ -115,6 +111,13 @@ impl Runner {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Programs sent to the daemon in full so far; always 0 for a local
+    /// runner.
+    #[must_use]
+    pub fn uploads(&self) -> u64 {
+        self.uploads.load(Ordering::Relaxed)
+    }
+
     /// Corrupt store entries quarantined (and recomputed) so far; always
     /// 0 without a local store.
     #[must_use]
@@ -127,23 +130,23 @@ impl Runner {
 
     /// A one-line cache report for stderr, or `None` for a plain local
     /// runner (no store, no server — nothing to report). Quarantined
-    /// entries are appended only when there were any.
+    /// entries are appended only when there were any; a server client
+    /// appends the programs it uploaded.
     #[must_use]
     pub fn cache_report(&self) -> Option<String> {
-        match &self.backend {
-            Backend::Local { store: None } => None,
-            _ => {
-                let hits = self.hits();
-                let misses = self.misses();
-                let total = hits + misses;
-                let pct = if total == 0 { 0.0 } else { 100.0 * hits as f64 / total as f64 };
-                let quarantined = match self.quarantined() {
-                    0 => String::new(),
-                    n => format!(", {n} quarantined"),
-                };
-                Some(format!("cache: {hits} hits, {misses} misses ({pct:.1}% cached){quarantined}"))
-            }
-        }
+        let tail = match &self.backend {
+            Backend::Local { store: None } => return None,
+            Backend::Local { store: Some(_) } => match self.quarantined() {
+                0 => String::new(),
+                n => format!(", {n} quarantined"),
+            },
+            Backend::Server { .. } => format!(", {} programs uploaded", self.uploads()),
+        };
+        let hits = self.hits();
+        let misses = self.misses();
+        let total = hits + misses;
+        let pct = if total == 0 { 0.0 } else { 100.0 * hits as f64 / total as f64 };
+        Some(format!("cache: {hits} hits, {misses} misses ({pct:.1}% cached){tail}"))
     }
 
     /// Runs one request (serially).
@@ -241,7 +244,8 @@ impl Runner {
         }
     }
 
-    /// One grid request over the socket. `Ok(None)` means the daemon
+    /// One grid request over the socket, its program by digest (sent in
+    /// full once if the daemon asks). `Ok(None)` means the daemon
     /// answered `Busy` and the caller should fall back to a per-point
     /// batch.
     fn run_grid_remote(
@@ -251,12 +255,7 @@ impl Runner {
         variants: &[Variant],
         path: &str,
     ) -> Result<Option<Vec<RunResult>>, SimError> {
-        let stream = UnixStream::connect(path)
-            .map_err(|e| SimError::Server(format!("cannot connect to {path}: {e}")))?;
-        let mut reader = BufReader::new(
-            stream.try_clone().map_err(|e| SimError::Server(format!("socket clone: {e}")))?,
-        );
-        let mut stream = stream;
+        let mut wire = Wire::connect(path)?;
         let msg = Request::Grid {
             id: 0,
             request: template.clone(),
@@ -264,47 +263,50 @@ impl Runner {
             variants: variants.to_vec(),
             no_cache: self.no_cache,
         };
-        let mut batch = msg.render();
-        batch.push_str("\n\n");
-        stream
-            .write_all(batch.as_bytes())
-            .map_err(|e| SimError::Server(format!("write to {path}: {e}")))?;
-        let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| SimError::Server(format!("read from {path}: {e}")))?;
-        if n == 0 {
-            return Err(SimError::Server(format!(
-                "daemon at {path} closed the connection mid-batch"
-            )));
-        }
-        match Reply::parse(line.trim_end()) {
-            Ok(Reply::Grid { results, .. }) => {
-                let points = configs.len() * variants.len();
-                if results.len() != points {
-                    return Err(SimError::Server(format!(
-                        "grid reply carries {} points, expected {points}",
-                        results.len()
-                    )));
-                }
-                let mut out = Vec::with_capacity(points);
-                for (result, cached) in results {
-                    if cached {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut line = msg.render_by_digest();
+        let mut uploaded = false;
+        loop {
+            wire.send(&format!("{line}\n\n"))?;
+            match wire.reply()? {
+                Reply::Grid { results, .. } => {
+                    let points = configs.len() * variants.len();
+                    if results.len() != points {
+                        return Err(SimError::Server(format!(
+                            "grid reply carries {} points, expected {points}",
+                            results.len()
+                        )));
                     }
-                    out.push(result);
+                    let mut out = Vec::with_capacity(points);
+                    for (result, cached) in results {
+                        self.count(cached);
+                        out.push(result);
+                    }
+                    return Ok(Some(out));
                 }
-                Ok(Some(out))
+                Reply::Busy { .. } => return Ok(None),
+                Reply::NeedProgram { digest, .. } if !uploaded => {
+                    if digest != template.programs[0].digest() {
+                        return Err(wire.unrequested(&digest));
+                    }
+                    uploaded = true;
+                    self.uploads.fetch_add(1, Ordering::Relaxed);
+                    line = msg.render();
+                }
+                Reply::NeedProgram { digest, .. } => return Err(wire.asked_again(&digest)),
+                Reply::Error { message, .. } => return Err(SimError::Server(message)),
+                other => {
+                    return Err(SimError::Server(format!(
+                        "unexpected reply {other:?} to a grid request"
+                    )))
+                }
             }
-            Ok(Reply::Busy { .. }) => Ok(None),
-            Ok(Reply::Error { message, .. }) => Err(SimError::Server(message)),
-            Ok(other) => {
-                Err(SimError::Server(format!("unexpected reply {other:?} to a grid request")))
-            }
-            Err(e) => Err(SimError::Server(format!("bad reply line: {e}"))),
         }
+    }
+
+    /// Counts one served result as a hit or a miss.
+    fn count(&self, cached: bool) {
+        let counter = if cached { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     fn cacheable(&self, req: &RunRequest) -> bool {
@@ -350,57 +352,56 @@ impl Runner {
         Ok(slots.into_iter().map(|s| s.expect("every slot filled")).collect())
     }
 
+    /// Submits a batch over the socket. Every request first names its
+    /// program by digest; ids the daemon answers `NeedProgram` (or
+    /// `Busy`) go again in the next round, where the lowest id per
+    /// missing digest carries the program in full. Nothing is kept
+    /// between calls, so a daemon restart or an eviction only costs one
+    /// more round.
     fn run_remote(&self, reqs: &[RunRequest], path: &str) -> Result<Vec<RunResult>, SimError> {
-        let stream = UnixStream::connect(path)
-            .map_err(|e| SimError::Server(format!("cannot connect to {path}: {e}")))?;
-        let mut reader = BufReader::new(
-            stream.try_clone().map_err(|e| SimError::Server(format!("socket clone: {e}")))?,
-        );
-        let mut stream = stream;
+        let mut wire = Wire::connect(path)?;
+        // Resolve the config client-side: the daemon's base config is
+        // its own (and not ours), so a request sent with `config: None`
+        // would silently run under whatever the daemon was started with.
+        // Resolving here matches the RunKey canonicalization (the key
+        // hashes the effective config), so cache behavior is unchanged.
+        let msgs: Vec<Request> = reqs
+            .iter()
+            .enumerate()
+            .map(|(i, req)| {
+                let mut request = req.clone();
+                request.config = Some(request.effective_config(self.config()));
+                Request::Run { id: i as u64, request, no_cache: self.no_cache }
+            })
+            .collect();
+        let digests: Vec<[u8; 32]> = reqs.iter().map(|r| r.programs[0].digest()).collect();
         let mut slots: Vec<Option<RunResult>> = vec![None; reqs.len()];
         let mut first_error: Option<(u64, String)> = None;
-        // Submit everything; resubmit whatever the daemon bounced with
-        // `Busy` (its bounded queue is the back-pressure contract) until
-        // every id has a terminal reply.
+        // Digests the daemon asked for and that the next round uploads,
+        // and those already uploaded: a second request for one of those
+        // fails the batch instead of looping.
+        let mut wanted: HashSet<[u8; 32]> = HashSet::new();
+        let mut uploaded: HashSet<[u8; 32]> = HashSet::new();
         let mut pending: Vec<usize> = (0..reqs.len()).collect();
         while !pending.is_empty() {
             let mut batch = String::new();
             for &i in &pending {
-                // Resolve the config client-side: the daemon's base
-                // config is its own (and not ours), so a request sent
-                // with `config: None` would silently run under whatever
-                // the daemon was started with. Resolving here matches
-                // the RunKey canonicalization (the key hashes the
-                // effective config), so cache behavior is unchanged.
-                let mut request = reqs[i].clone();
-                request.config = Some(request.effective_config(self.config()));
-                let msg = Request::Run { id: i as u64, request, no_cache: self.no_cache };
-                batch.push_str(&msg.render());
+                if wanted.remove(&digests[i]) {
+                    uploaded.insert(digests[i]);
+                    self.uploads.fetch_add(1, Ordering::Relaxed);
+                    batch.push_str(&msgs[i].render());
+                } else {
+                    batch.push_str(&msgs[i].render_by_digest());
+                }
                 batch.push('\n');
             }
             batch.push('\n');
-            stream
-                .write_all(batch.as_bytes())
-                .map_err(|e| SimError::Server(format!("write to {path}: {e}")))?;
-            let expected = pending.len();
-            let mut bounced: Vec<usize> = Vec::new();
-            for _ in 0..expected {
-                let mut line = String::new();
-                let n = reader
-                    .read_line(&mut line)
-                    .map_err(|e| SimError::Server(format!("read from {path}: {e}")))?;
-                if n == 0 {
-                    return Err(SimError::Server(format!(
-                        "daemon at {path} closed the connection mid-batch"
-                    )));
-                }
-                match Reply::parse(line.trim_end()) {
-                    Ok(Reply::Result { id, result, cached }) => {
-                        if cached {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                        }
+            wire.send(&batch)?;
+            let mut again: Vec<usize> = Vec::new();
+            for _ in 0..pending.len() {
+                match wire.reply()? {
+                    Reply::Result { id, result, cached } => {
+                        self.count(cached);
                         match slots.get_mut(id as usize) {
                             Some(slot) => *slot = Some(result),
                             None => {
@@ -410,8 +411,18 @@ impl Runner {
                             }
                         }
                     }
-                    Ok(Reply::Busy { id }) => bounced.push(id as usize),
-                    Ok(Reply::Error { id, message }) if id == BATCH_ERROR_ID => {
+                    Reply::Busy { id } => again.push(id as usize),
+                    Reply::NeedProgram { id, digest } => {
+                        if digests.get(id as usize) != Some(&digest) {
+                            return Err(wire.unrequested(&digest));
+                        }
+                        if uploaded.contains(&digest) {
+                            return Err(wire.asked_again(&digest));
+                        }
+                        wanted.insert(digest);
+                        again.push(id as usize);
+                    }
+                    Reply::Error { id, message } if id == BATCH_ERROR_ID => {
                         // Batch-level: the daemon could not attribute
                         // the error to any request we sent, so no slot
                         // can be filled — fail the whole batch.
@@ -419,21 +430,20 @@ impl Runner {
                             "daemon rejected a request line: {message}"
                         )));
                     }
-                    Ok(Reply::Error { id, message }) => {
+                    Reply::Error { id, message } => {
                         if first_error.as_ref().is_none_or(|&(prev, _)| id < prev) {
                             first_error = Some((id, message));
                         }
                     }
-                    Ok(other) => {
+                    other => {
                         return Err(SimError::Server(format!(
                             "unexpected reply {other:?} to a run batch"
                         )))
                     }
-                    Err(e) => return Err(SimError::Server(format!("bad reply line: {e}"))),
                 }
             }
-            bounced.sort_unstable();
-            pending = bounced;
+            again.sort_unstable();
+            pending = again;
         }
         if let Some((_, message)) = first_error {
             return Err(SimError::Server(message));
@@ -445,6 +455,61 @@ impl Runner {
                 s.ok_or_else(|| SimError::Server(format!("no reply for request {i}")))
             })
             .collect()
+    }
+}
+
+/// One connection to a daemon: batches out, reply lines in.
+struct Wire {
+    path: String,
+    stream: UnixStream,
+    reader: BufReader<UnixStream>,
+}
+
+impl Wire {
+    fn connect(path: &str) -> Result<Wire, SimError> {
+        let stream = UnixStream::connect(path)
+            .map_err(|e| SimError::Server(format!("cannot connect to {path}: {e}")))?;
+        let reader = BufReader::new(
+            stream.try_clone().map_err(|e| SimError::Server(format!("socket clone: {e}")))?,
+        );
+        Ok(Wire { path: path.to_string(), stream, reader })
+    }
+
+    fn send(&mut self, batch: &str) -> Result<(), SimError> {
+        self.stream
+            .write_all(batch.as_bytes())
+            .map_err(|e| SimError::Server(format!("write to {}: {e}", self.path)))
+    }
+
+    fn reply(&mut self) -> Result<Reply, SimError> {
+        let mut line = String::new();
+        let n = self
+            .reader
+            .read_line(&mut line)
+            .map_err(|e| SimError::Server(format!("read from {}: {e}", self.path)))?;
+        if n == 0 {
+            return Err(SimError::Server(format!(
+                "daemon at {} closed the connection mid-batch",
+                self.path
+            )));
+        }
+        Reply::parse(line.trim_end()).map_err(|e| SimError::Server(format!("bad reply line: {e}")))
+    }
+
+    fn asked_again(&self, digest: &[u8; 32]) -> SimError {
+        SimError::Server(format!(
+            "daemon at {} asked again for program {} after it was uploaded",
+            self.path,
+            hex(digest)
+        ))
+    }
+
+    fn unrequested(&self, digest: &[u8; 32]) -> SimError {
+        SimError::Server(format!(
+            "daemon at {} asked for program {}, which the request does not name",
+            self.path,
+            hex(digest)
+        ))
     }
 }
 

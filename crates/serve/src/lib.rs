@@ -17,6 +17,15 @@
 //! resubmitted in a later batch (the [`Runner`](sdo_harness::Runner)
 //! client does this automatically).
 //!
+//! ## Programs by digest
+//!
+//! A request may name its program by [`Program::digest`] instead of
+//! carrying it. The daemon keeps every program it has parsed in a
+//! bounded, least-recently-used table keyed by the digest it computed
+//! itself, and answers `NeedProgram` for a digest it does not hold; the
+//! client then sends that program in full once. Each image is therefore
+//! parsed once per daemon, not once per request.
+//!
 //! ## Fault containment
 //!
 //! Malformed lines, hangs, store failures and in-flight worker panics
@@ -27,16 +36,20 @@
 
 #![warn(missing_docs)]
 
+mod programs;
+
+use programs::{ProgramTable, PROGRAM_TABLE_BYTES};
 use sdo_harness::engine::{panic_message, JobPool};
-use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID};
+use sdo_harness::proto::{self, DecodeError, Json, Reply, Request, BATCH_ERROR_ID};
 use sdo_harness::store::{ResultStore, RunKey};
-use sdo_harness::{RunRequest, RunResult, SimConfig, SimError, Simulator};
+use sdo_harness::{Program, RunRequest, RunResult, SimConfig, SimError, Simulator};
 use sdo_verify::{CampaignConfig, Checker};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -56,13 +69,15 @@ impl Default for ServeOptions {
     }
 }
 
-/// The daemon: a warm pool, an optional store, and hit/miss counters.
+/// The daemon: a warm pool, an optional store, the program table, and
+/// hit/miss counters.
 #[derive(Debug)]
 pub struct Server {
     sim: Simulator,
     store: Option<ResultStore>,
     queue: usize,
     pool: JobPool,
+    programs: Mutex<ProgramTable>,
     hits: AtomicU64,
     misses: AtomicU64,
     shutdown: AtomicBool,
@@ -76,6 +91,16 @@ impl Server {
     /// Returns [`SimError::Store`] if the store directory cannot be
     /// opened.
     pub fn new(opts: ServeOptions, pool: JobPool) -> Result<Self, SimError> {
+        Self::with_program_bound(opts, pool, PROGRAM_TABLE_BYTES)
+    }
+
+    /// [`Server::new`] with the program table bounded at `bound` bytes
+    /// (tests shrink it to force evictions).
+    fn with_program_bound(
+        opts: ServeOptions,
+        pool: JobPool,
+        bound: usize,
+    ) -> Result<Self, SimError> {
         let store = match &opts.store {
             Some(dir) => Some(ResultStore::open(dir.as_str())?),
             None => None,
@@ -85,6 +110,7 @@ impl Server {
             store,
             queue: opts.queue.max(1),
             pool,
+            programs: Mutex::new(ProgramTable::new(bound)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -101,6 +127,25 @@ impl Server {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Programs resident in the program table.
+    #[must_use]
+    pub fn programs(&self) -> u64 {
+        self.table().len() as u64
+    }
+
+    /// Full programs received since startup.
+    #[must_use]
+    pub fn uploads(&self) -> u64 {
+        self.table().uploads()
+    }
+
+    fn table(&self) -> std::sync::MutexGuard<'_, ProgramTable> {
+        // Nothing panics while holding the lock, and any state an
+        // interrupted insert could leave (a byte count ahead of the map)
+        // is still a usable table.
+        self.programs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether a `shutdown` request has been received.
@@ -128,11 +173,11 @@ impl Server {
                     eof = true;
                     break;
                 }
-                let trimmed = line.trim_end_matches(['\n', '\r']);
-                if trimmed.is_empty() {
+                line.truncate(line.trim_end_matches(['\n', '\r']).len());
+                if line.is_empty() {
                     break;
                 }
-                lines.push(trimmed.to_string());
+                lines.push(line);
             }
             if !lines.is_empty() {
                 for reply in self.handle_batch(&lines) {
@@ -183,8 +228,7 @@ impl Server {
     pub fn handle_batch(&self, lines: &[String]) -> Vec<Reply> {
         // Parse every line first so the queue bound counts actual run
         // requests, not malformed lines.
-        let parsed: Vec<Result<Request, String>> =
-            lines.iter().map(|l| Request::parse(l)).collect();
+        let parsed = self.parse_batch(lines);
 
         // Queue bound: the first `queue` run requests are accepted, the
         // rest bounced with Busy (the client resubmits them).
@@ -198,18 +242,14 @@ impl Server {
         let mut grids: Vec<AcceptedGrid> = Vec::new();
         for (i, req) in parsed.into_iter().enumerate() {
             match req {
-                Err(message) => {
+                Err(DecodeError::Malformed(message)) => {
                     replies.push(Some(Reply::Error { id: BATCH_ERROR_ID, message }));
                 }
+                Err(DecodeError::NeedProgram { id, digest }) => {
+                    replies.push(Some(Reply::NeedProgram { id, digest }));
+                }
                 Ok(Request::Run { id, request, no_cache }) => {
-                    if id == BATCH_ERROR_ID {
-                        replies.push(Some(Reply::Error {
-                            id: BATCH_ERROR_ID,
-                            message: format!(
-                                "request id {id} is reserved for unattributable errors"
-                            ),
-                        }));
-                    } else if let Err(message) = servable(&request) {
+                    if let Err(message) = servable(&request) {
                         replies.push(Some(Reply::Error { id, message }));
                     } else if accepted >= self.queue {
                         replies.push(Some(Reply::Busy { id }));
@@ -221,14 +261,7 @@ impl Server {
                 }
                 Ok(Request::Grid { id, request, configs, variants, no_cache }) => {
                     let points = configs.len() * variants.len();
-                    if id == BATCH_ERROR_ID {
-                        replies.push(Some(Reply::Error {
-                            id: BATCH_ERROR_ID,
-                            message: format!(
-                                "request id {id} is reserved for unattributable errors"
-                            ),
-                        }));
-                    } else if let Err(message) = servable(&request) {
+                    if let Err(message) = servable(&request) {
                         replies.push(Some(Reply::Error { id, message }));
                     } else if points == 0 {
                         replies.push(Some(Reply::Error {
@@ -313,6 +346,35 @@ impl Server {
             });
         }
         replies.into_iter().flatten().collect()
+    }
+
+    /// Parses a batch's lines, resolving program references. Every full
+    /// program is digested here — a digest from the client is never
+    /// trusted — and registered before any reference is resolved, so
+    /// line order within the batch does not matter and a program sent on
+    /// a line that is later refused or bounced `Busy` stays registered.
+    fn parse_batch(&self, lines: &[String]) -> Vec<Result<Request, DecodeError>> {
+        let mut values: Vec<Result<Json, String>> =
+            lines.iter().map(|l| proto::parse_json(l)).collect();
+        let mut table = self.table();
+        // Programs sent in this batch resolve even if a later upload
+        // evicted them from the table.
+        let mut sent: HashMap<[u8; 32], Program> = HashMap::new();
+        for line in values.iter_mut().flatten() {
+            proto::register_programs(line, |program| {
+                let digest = program.digest();
+                sent.insert(digest, table.insert(digest, program));
+                digest
+            });
+        }
+        values
+            .into_iter()
+            .map(|line| {
+                Request::decode(&line?, |digest| {
+                    sent.get(digest).cloned().or_else(|| table.get(digest))
+                })
+            })
+            .collect()
     }
 
     /// Executes the accepted run requests of one batch: keys and store
@@ -415,7 +477,14 @@ impl Server {
             },
             None => 0,
         };
-        Reply::Stats { id, hits: self.hits(), misses: self.misses(), entries }
+        Reply::Stats {
+            id,
+            hits: self.hits(),
+            misses: self.misses(),
+            entries,
+            programs: self.programs(),
+            uploads: self.uploads(),
+        }
     }
 
     /// Runs a verification campaign on the daemon's warm pool. Campaign
@@ -494,4 +563,66 @@ struct AcceptedGrid {
     slot: usize,
     id: u64,
     points: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdo_harness::{Runner, Variant};
+    use sdo_workloads::kernels::l1_resident;
+    use std::os::unix::net::UnixStream;
+
+    /// Sends `shutdown` to the daemon on the socket when dropped.
+    struct Shutdown<'a>(&'a str);
+
+    impl Drop for Shutdown<'_> {
+        fn drop(&mut self) {
+            if let Ok(mut stream) = UnixStream::connect(self.0) {
+                let _ = stream.write_all(format!("{}\n\n", Request::Shutdown.render()).as_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn the_runner_recovers_after_programs_are_evicted() {
+        // A table that keeps only the newest program: every switch of
+        // program evicts the previous one.
+        let opts = ServeOptions { store: None, queue: 64, base: SimConfig::tiny() };
+        let server = Server::with_program_bound(opts, JobPool::new(2), 1).unwrap();
+        let dir = std::env::temp_dir().join(format!("sdo-serve-evict-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("sock").to_string_lossy().into_owned();
+        let (a, b) = (l1_resident(60, 1), l1_resident(80, 1));
+        let runs = |prog: &Program| -> Vec<RunRequest> {
+            Variant::ALL.iter().map(|&v| RunRequest::program(prog).variant(v)).collect()
+        };
+        let client = Runner::server(SimConfig::tiny(), &sock);
+        let local = Runner::local(SimConfig::tiny());
+        let (c, mixed) = (l1_resident(100, 1), [runs(&a), runs(&b)].concat());
+        std::thread::scope(|scope| {
+            let server = &server;
+            let path = sock.clone();
+            scope.spawn(move || server.serve_socket(&path).expect("socket serve succeeds"));
+            while UnixStream::connect(&sock).is_err() {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            // Stops the daemon even if an assertion below fails, so the
+            // scope can join it.
+            let _stop = Shutdown(&sock);
+            for (reqs, uploads) in [(runs(&a), 1), (runs(&b), 2), (runs(&a), 3), (runs(&c), 4)] {
+                let got = client.run_batch(&reqs, &JobPool::serial()).unwrap();
+                assert_eq!(got, local.run_batch(&reqs, &JobPool::serial()).unwrap());
+                assert_eq!(client.uploads(), uploads, "an evicted program is sent again");
+                assert_eq!(server.programs(), 1);
+            }
+            // Two evicted programs in one batch: uploading the second
+            // evicts the first again, yet every line of the batch
+            // resolves.
+            let got = client.run_batch(&mixed, &JobPool::serial()).unwrap();
+            assert_eq!(got, local.run_batch(&mixed, &JobPool::serial()).unwrap());
+            assert_eq!(client.uploads(), 6);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -82,9 +82,10 @@ fn main() {
         SPEC.runtime_error(&format!("transport failed: {e}"));
     }
     eprintln!(
-        "serve: done ({} hits, {} misses)",
+        "serve: done ({} hits, {} misses, {} programs uploaded)",
         server.hits(),
-        server.misses()
+        server.misses(),
+        server.uploads()
     );
 }
 

@@ -1,14 +1,16 @@
 //! End-to-end tests for the daemon: the batch contract (one reply per
 //! request, in order), cache hits with byte-identical results, explicit
 //! `Busy` back-pressure, typed errors for malformed/unservable/hanging
-//! requests with the daemon surviving all of them, and the socket
-//! transport driven by the `Runner` client.
+//! requests with the daemon surviving all of them, the socket
+//! transport driven by the `Runner` client, and programs sent by digest
+//! with upload on `NeedProgram`.
 
-use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID};
-use sdo_harness::{JobPool, Runner, RunRequest, SimConfig, Variant};
+use sdo_harness::proto::{self, Reply, Request, BATCH_ERROR_ID};
+use sdo_harness::{JobPool, Program, Runner, RunRequest, SimConfig, SimError, Variant};
 use sdo_serve::{ServeOptions, Server};
 use sdo_workloads::kernels::l1_resident;
-use std::io::Cursor;
+use std::io::{BufRead, BufReader, Cursor, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
 
 fn temp_dir(tag: &str) -> String {
     let dir = std::env::temp_dir().join(format!("sdo-serve-test-{tag}-{}", std::process::id()));
@@ -21,25 +23,65 @@ fn opts(store: Option<String>, queue: usize) -> ServeOptions {
 }
 
 /// Feeds `batches` (already newline-framed) through a stdio server and
-/// returns the parsed replies.
-fn drive(server: &Server, input: &str) -> Vec<Reply> {
+/// returns the reply text.
+fn drive_raw(server: &Server, input: &str) -> String {
     let mut out = Vec::new();
     server.serve(Cursor::new(input.to_string()), &mut out).expect("stdio serve succeeds");
-    String::from_utf8(out)
-        .expect("replies are UTF-8")
+    String::from_utf8(out).expect("replies are UTF-8")
+}
+
+/// [`drive_raw`], replies parsed.
+fn drive(server: &Server, input: &str) -> Vec<Reply> {
+    drive_raw(server, input)
         .lines()
         .map(|l| Reply::parse(l).expect("every reply line parses"))
         .collect()
 }
 
-fn batch(msgs: &[Request]) -> String {
+/// Frames already rendered lines as one batch.
+fn frame(lines: &[String]) -> String {
     let mut s = String::new();
-    for m in msgs {
-        s.push_str(&m.render());
+    for line in lines {
+        s.push_str(line);
         s.push('\n');
     }
     s.push('\n');
     s
+}
+
+/// One batch, every program in full.
+fn batch(msgs: &[Request]) -> String {
+    frame(&msgs.iter().map(Request::render).collect::<Vec<_>>())
+}
+
+/// One batch, every program by digest.
+fn batch_by_digest(msgs: &[Request]) -> String {
+    frame(&msgs.iter().map(Request::render_by_digest).collect::<Vec<_>>())
+}
+
+/// A run request per variant of `prog`, ids from 0.
+fn variant_runs(prog: &Program) -> Vec<Request> {
+    Variant::ALL
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| Request::Run {
+            id: i as u64,
+            request: RunRequest::program(prog).variant(v),
+            no_cache: false,
+        })
+        .collect()
+}
+
+/// Sends `shutdown` to the daemon on the socket when dropped, so a
+/// failing assertion still lets the serving thread end.
+struct Shutdown<'a>(&'a str);
+
+impl Drop for Shutdown<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut stream) = UnixStream::connect(self.0) {
+            let _ = stream.write_all(format!("{}\n\n", Request::Shutdown.render()).as_bytes());
+        }
+    }
 }
 
 #[test]
@@ -334,10 +376,10 @@ fn stats_and_campaign_requests_are_answered_inline() {
     drive(&server, &batch(&[run]));
 
     let replies = drive(&server, &batch(&[Request::Stats { id: 1 }]));
-    let Reply::Stats { id: 1, hits, misses, entries } = replies[0] else {
+    let Reply::Stats { id: 1, hits, misses, entries, programs, uploads } = replies[0] else {
         panic!("expected stats, got {:?}", replies[0]);
     };
-    assert_eq!((hits, misses, entries), (0, 1, 1));
+    assert_eq!((hits, misses, entries, programs, uploads), (0, 1, 1, 1, 1));
 
     // A fuzz-free quick campaign on the daemon's warm pool.
     let campaign = Request::Campaign { id: 2, seed: 7, quick: true, fuzz: 0 };
@@ -398,8 +440,9 @@ fn socket_transport_serves_the_runner_client() {
         assert_eq!(warm_client.misses(), 0, "warm pass executed zero simulations");
         assert_eq!(
             warm_client.cache_report().unwrap(),
-            format!("cache: {} hits, 0 misses (100.0% cached)", reqs.len())
+            format!("cache: {} hits, 0 misses (100.0% cached), 0 programs uploaded", reqs.len())
         );
+        assert_eq!(client.uploads(), 1, "the cold client sent the program once");
 
         // Regression: a client whose base config diverges from the
         // daemon's (the `--no-skip --server` case, plus a latency bump
@@ -489,4 +532,188 @@ fn sensitivity_sweep_through_the_daemon_is_byte_identical() {
         stream.write_all(format!("{}\n\n", Request::Shutdown.render()).as_bytes()).unwrap();
     });
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn by_digest_batches_reply_byte_identically_to_full_program_batches() {
+    let dir = temp_dir("by-digest");
+    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let prog = l1_resident(120, 1);
+    let reqs = variant_runs(&prog);
+
+    // Cold pass with every program in full: one upload per line, all
+    // simulated, the program parsed and registered.
+    let cold = drive(&server, &batch(&reqs));
+    assert!(cold.iter().all(|r| matches!(r, Reply::Result { cached: false, .. })));
+    assert_eq!(server.uploads(), reqs.len() as u64);
+    assert_eq!(server.programs(), 1, "one distinct program resident");
+
+    // Warm pass by digest: the same store entries, 100% hits, no upload.
+    let by_digest = drive_raw(&server, &batch_by_digest(&reqs));
+    assert_eq!(server.hits(), reqs.len() as u64, "by-digest pass is all hits");
+    assert_eq!(server.uploads(), reqs.len() as u64, "and uploads nothing");
+    let in_full = drive_raw(&server, &batch(&reqs));
+    assert_eq!(by_digest, in_full, "both wire forms get byte-identical replies");
+    for (c, w) in cold.iter().zip(by_digest.lines().map(|l| Reply::parse(l).unwrap())) {
+        let (Reply::Result { result: rc, .. }, Reply::Result { result: rw, .. }) = (c, &w) else {
+            panic!("expected results");
+        };
+        assert_eq!(rw, rc);
+    }
+    let entries = sdo_harness::ResultStore::open(dir.as_str()).unwrap().len().unwrap();
+    assert_eq!(entries, reqs.len() as u64, "both forms share one store entry per run");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_unknown_digest_gets_need_program_and_simulates_nothing() {
+    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let prog = l1_resident(60, 1);
+    let run = Request::Run { id: 4, request: RunRequest::program(&prog), no_cache: false };
+    let replies = drive(&server, &batch_by_digest(&[run]));
+    assert_eq!(replies, vec![Reply::NeedProgram { id: 4, digest: prog.digest() }]);
+    assert_eq!((server.misses(), server.uploads()), (0, 0));
+
+    // The same reference resolves once the program has been sent.
+    let full = Request::Run { id: 5, request: RunRequest::program(&prog), no_cache: false };
+    drive(&server, &batch(&[full]));
+    let again = Request::Run { id: 6, request: RunRequest::program(&prog), no_cache: false };
+    let replies = drive(&server, &batch_by_digest(&[again]));
+    assert!(matches!(replies[0], Reply::Result { id: 6, .. }), "{replies:?}");
+}
+
+#[test]
+fn malformed_references_are_typed_errors_and_the_daemon_keeps_serving() {
+    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let prog = l1_resident(60, 1);
+    let run = Request::Run { id: 1, request: RunRequest::program(&prog), no_cache: false };
+    let line = run.render_by_digest();
+    let hex: String = prog.digest().iter().map(|b| format!("{b:02x}")).collect();
+    let quoted = format!("\"{hex}\"");
+    assert!(line.contains(&quoted));
+    let bad = [
+        format!("\"{}\"", &hex[..63]),
+        format!("\"{hex}0\""),
+        format!("\"{}\"", hex.to_uppercase()),
+        format!("\"g{}\"", &hex[1..]),
+        "7".to_string(),
+        "null".to_string(),
+        format!("{quoted},\"name\":\"x\""),
+    ];
+    for digest in &bad {
+        let replies = drive(&server, &frame(&[line.replace(&quoted, digest)]));
+        let [Reply::Error { id: BATCH_ERROR_ID, message }] = &replies[..] else {
+            panic!("a bad reference {digest} must be a typed error, got {replies:?}");
+        };
+        assert!(message.contains("digest"), "got '{message}'");
+    }
+    assert_eq!(server.misses(), 0);
+
+    // The next batch is served as usual.
+    let replies = drive(&server, &batch(&[run]));
+    assert!(matches!(replies[0], Reply::Result { id: 1, .. }), "{replies:?}");
+}
+
+#[test]
+fn a_reference_before_its_program_in_one_batch_resolves() {
+    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let prog = l1_resident(60, 1);
+    let reqs = variant_runs(&prog);
+    // Every line but the last names the program by digest; only the
+    // last carries it.
+    let mut lines: Vec<String> = reqs.iter().map(Request::render_by_digest).collect();
+    *lines.last_mut().unwrap() = reqs.last().unwrap().render();
+    let replies = drive(&server, &frame(&lines));
+    assert_eq!(replies.len(), reqs.len());
+    for (i, reply) in replies.iter().enumerate() {
+        assert!(matches!(reply, Reply::Result { id, .. } if *id == i as u64), "{reply:?}");
+    }
+    assert_eq!(server.uploads(), 1);
+}
+
+#[test]
+fn an_upload_bounced_busy_still_registers_its_program() {
+    let server = Server::new(opts(None, 1), JobPool::serial()).unwrap();
+    let (a, b) = (l1_resident(60, 1), l1_resident(80, 1));
+    let reqs = [
+        Request::Run { id: 0, request: RunRequest::program(&a), no_cache: false },
+        Request::Run { id: 1, request: RunRequest::program(&b), no_cache: false },
+    ];
+    let replies = drive(&server, &batch(&reqs));
+    assert!(matches!(replies[0], Reply::Result { id: 0, .. }));
+    assert!(matches!(replies[1], Reply::Busy { id: 1 }));
+    assert_eq!((server.uploads(), server.programs()), (2, 2));
+
+    let replies = drive(&server, &batch_by_digest(&reqs[1..]));
+    assert!(matches!(replies[0], Reply::Result { id: 1, cached: false, .. }), "{replies:?}");
+}
+
+#[test]
+fn the_runner_recovers_across_a_daemon_restart() {
+    let dir = temp_dir("restart");
+    let prog = l1_resident(120, 1);
+    let reqs: Vec<RunRequest> =
+        Variant::ALL.iter().map(|&v| RunRequest::program(&prog).variant(v)).collect();
+    let sock = format!("{}/sock", temp_dir("restart-path"));
+    std::fs::create_dir_all(std::path::Path::new(&sock).parent().unwrap()).unwrap();
+    let client = Runner::server(SimConfig::tiny(), &sock);
+    let mut passes = Vec::new();
+    for _ in 0..2 {
+        // A fresh daemon over the same store and socket path: its program
+        // table starts empty, the client's state carries nothing over.
+        let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+        std::thread::scope(|scope| {
+            let server = &server;
+            scope.spawn(|| server.serve_socket(&sock).expect("socket serve succeeds"));
+            while UnixStream::connect(&sock).is_err() {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            let _stop = Shutdown(&sock);
+            passes.push(client.run_batch(&reqs, &JobPool::serial()).unwrap());
+        });
+        assert_eq!(server.uploads(), 1, "each daemon received the program once");
+    }
+    assert_eq!(passes[0], passes[1]);
+    assert_eq!(client.uploads(), 2);
+    assert_eq!((client.misses(), client.hits()), (reqs.len() as u64, reqs.len() as u64));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_repeated_need_program_fails_the_batch() {
+    // A daemon that never keeps what it is sent: it answers every line
+    // with `NeedProgram`. The client uploads once, then gives up.
+    let sock = format!("{}/sock", temp_dir("forgetful"));
+    std::fs::create_dir_all(std::path::Path::new(&sock).parent().unwrap()).unwrap();
+    let _ = std::fs::remove_file(&sock);
+    let listener = UnixListener::bind(&sock).unwrap();
+    let prog = l1_resident(60, 1);
+    let digest = prog.digest();
+    let forgetful = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut stream = stream;
+        let mut batches = 0;
+        let mut line = String::new();
+        while reader.read_line(&mut line).unwrap() > 0 {
+            let text = line.trim_end();
+            if text.is_empty() {
+                batches += 1;
+            } else {
+                let id = proto::parse_json(text).unwrap().u64_field("id").unwrap();
+                let reply = Reply::NeedProgram { id, digest }.render();
+                stream.write_all(format!("{reply}\n").as_bytes()).unwrap();
+            }
+            line.clear();
+        }
+        batches
+    });
+    let client = Runner::server(SimConfig::tiny(), &sock);
+    let err = client.run_one(&RunRequest::program(&prog)).unwrap_err();
+    let SimError::Server(message) = &err else {
+        panic!("expected a server error, got {err:?}");
+    };
+    assert!(message.contains("asked again"), "got '{message}'");
+    assert_eq!(client.uploads(), 1);
+    assert_eq!(forgetful.join().unwrap(), 2, "one by-digest batch, one upload batch");
 }

@@ -14,6 +14,7 @@
 use crate::checker::SwapOutcome;
 use crate::oracle::Invariant;
 use sdo_harness::cli::{parse_attack, parse_variant};
+use sdo_harness::proto::{escape_json, unescape_json};
 use sdo_harness::Variant;
 use sdo_obs::{Event, EventTrace};
 use sdo_uarch::AttackModel;
@@ -146,7 +147,7 @@ impl Counterexample {
             self.kind.name(),
             self.seed,
             self.gadgets.join("+"),
-            json_escape(&self.detail),
+            escape_json(&self.detail),
         );
         for ev in &self.window {
             out.push_str(&ev.to_json());
@@ -184,22 +185,11 @@ impl Counterexample {
             .split_once("\"detail\":\"")
             .and_then(|(_, rest)| rest.strip_suffix("\"}"))
             .ok_or_else(|| "missing or malformed detail field".to_string())?;
-        let detail = json_unescape(detail_raw);
+        let detail = unescape_json(detail_raw).map_err(|e| format!("detail field: {e}"))?;
         let window_text: String = lines.map(|l| format!("{l}\n")).collect();
         let window = EventTrace::parse_jsonl(&window_text)?.events().to_vec();
         Ok(Counterexample { case, variant, attack, kind, seed, gadgets, detail, window })
     }
-}
-
-/// Escapes backslashes and double quotes for embedding in a JSON
-/// string (the only characters our detail strings can contain that
-/// need escaping — they are built from event JSON and plain prose).
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn json_unescape(s: &str) -> String {
-    s.replace("\\\"", "\"").replace("\\\\", "\\")
 }
 
 /// Extracts an escape-free `"key":"value"` string field from a header
@@ -273,6 +263,22 @@ mod tests {
         cex.detail = "quote \" backslash \\ done".into();
         let back = Counterexample::parse_jsonl(&cex.to_jsonl()).unwrap();
         assert_eq!(back.detail, cex.detail);
+    }
+
+    #[test]
+    fn detail_control_characters_and_embedded_keys_round_trip() {
+        // A newline in the detail once split the header line in two; a
+        // detail that spells `"kind":` must not shadow the real field.
+        for detail in ["line\nbreak", "tab\there", "bell\u{1}", "\"kind\":\"baseline_leak\",\"seed\":1"] {
+            let mut cex = sample();
+            cex.detail = detail.into();
+            let text = cex.to_jsonl();
+            let header = text.lines().next().unwrap();
+            assert!(!header.chars().any(char::is_control), "raw control char in {header:?}");
+            let back = Counterexample::parse_jsonl(&text).unwrap();
+            assert_eq!(back, cex);
+            assert_eq!(back.to_jsonl(), text);
+        }
     }
 
     #[test]
