@@ -24,11 +24,13 @@ use crate::proto::{self, Json};
 use crate::sim::{RunRequest, RunResult, SimError};
 use crate::SimConfig;
 use sdo_isa::Sha256;
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 pub use sdo_isa::sha256;
 
@@ -98,6 +100,10 @@ impl fmt::Display for RunKey {
 pub struct ResultStore {
     dir: PathBuf,
     quarantined: AtomicU64,
+    /// Manifest lines of the entries this handle has already read, by
+    /// key hex. Entries are immutable, so a listed entry's line never
+    /// changes and each entry file is read for the manifest only once.
+    manifest_lines: Mutex<HashMap<String, String>>,
 }
 
 impl ResultStore {
@@ -110,7 +116,11 @@ impl ResultStore {
         let dir = dir.into();
         fs::create_dir_all(&dir)
             .map_err(|e| SimError::Store(format!("cannot create {}: {e}", dir.display())))?;
-        Ok(ResultStore { dir, quarantined: AtomicU64::new(0) })
+        Ok(ResultStore {
+            dir,
+            quarantined: AtomicU64::new(0),
+            manifest_lines: Mutex::new(HashMap::new()),
+        })
     }
 
     /// The store's root directory.
@@ -250,14 +260,20 @@ impl ResultStore {
 
     /// Renders the store manifest: one sorted
     /// `key<TAB>workload<TAB>variant<TAB>attack<TAB>cycles` line per
-    /// entry.
+    /// entry. The entries are listed every time; each entry's file is
+    /// read only the first time this handle lists it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Store`] on I/O failure or a corrupt entry.
     pub fn manifest(&self) -> Result<String, SimError> {
+        let mut lines = self.manifest_lines.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         for hex in self.keys()? {
+            if let Some(line) = lines.get(&hex) {
+                out.push_str(line);
+                continue;
+            }
             let path = self.dir.join(&hex[..2]).join(format!("{hex}.json"));
             let text = fs::read_to_string(&path)
                 .map_err(|e| SimError::Store(format!("cannot read {}: {e}", path.display())))?;
@@ -270,13 +286,15 @@ impl ResultStore {
                     _ => Err(SimError::Store(format!("corrupt entry {hex}: missing {key}"))),
                 }
             };
-            out.push_str(&format!(
+            let line = format!(
                 "{hex}\t{}\t{}\t{}\t{}\n",
                 field("workload")?,
                 field("variant")?,
                 field("attack")?,
                 field("cycles")?,
-            ));
+            );
+            out.push_str(&line);
+            lines.insert(hex, line);
         }
         Ok(out)
     }
@@ -350,6 +368,36 @@ mod tests {
         let path = store.write_manifest().unwrap();
         assert_eq!(std::fs::read_to_string(path).unwrap(), manifest);
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_follows_entries_other_handles_add_and_remove() {
+        let dir = std::env::temp_dir().join(format!("sdo-store-manifest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let base = SimConfig::tiny();
+        let prog = l1_resident(50, 1);
+        let entry = |v: Variant| {
+            let req = RunRequest::program(&prog).variant(v);
+            (RunKey::of(&req, base), Simulator::new(base).run(&req).unwrap().into_result())
+        };
+        let (a, b, c) = (entry(Variant::Hybrid), entry(Variant::Unsafe), entry(Variant::SttLd));
+        let store = ResultStore::open(&dir).unwrap();
+        store.save(&a.0, &a.1).unwrap();
+        store.save(&b.0, &b.1).unwrap();
+        assert_eq!(store.manifest().unwrap().lines().count(), 2);
+
+        // Another handle (another process, say) adds one entry, then one
+        // is deleted: the manifest lists exactly what is on disk, the
+        // same as a handle that never read it before.
+        ResultStore::open(&dir).unwrap().save(&c.0, &c.1).unwrap();
+        let fresh = || ResultStore::open(&dir).unwrap().manifest().unwrap();
+        assert_eq!(store.manifest().unwrap().lines().count(), 3);
+        assert_eq!(store.manifest().unwrap(), fresh());
+        std::fs::remove_file(store.entry_path(&a.0)).unwrap();
+        assert_eq!(store.manifest().unwrap().lines().count(), 2);
+        assert!(!store.manifest().unwrap().contains(&a.0.hex()));
+        assert_eq!(store.manifest().unwrap(), fresh());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
